@@ -8,8 +8,7 @@
 //!   imperative configurations).
 //! * `report_divergence` — §5.1.2 (steps and time to catch divergence).
 //!
-//! The Criterion benches in `benches/` measure the same configurations
-//! with statistical rigor; the reports favor breadth and readability.
+//! These binaries are the crate's one measurement path.
 //!
 //! # The `BENCH_fig10.json` trajectory file
 //!

@@ -224,20 +224,17 @@ impl DiskCache {
 
     /// Number of `.sum` entries currently on disk (test/diagnostic aid).
     pub fn summary_count(&self) -> usize {
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        shards
-            .flatten()
-            .filter_map(|s| fs::read_dir(s.path()).ok())
-            .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "sum"))
-            .count()
+        self.count_with_extension("sum")
     }
 
-    /// Number of `.plan` entries currently on disk (test/diagnostic aid;
-    /// walks the two-level layout).
+    /// Number of `.plan` entries currently on disk (test/diagnostic aid).
     pub fn entry_count(&self) -> usize {
+        self.count_with_extension("plan")
+    }
+
+    /// Number of files with extension `ext` across the two-level
+    /// `<dir>/<shard>/<file>` layout.
+    fn count_with_extension(&self, ext: &str) -> usize {
         let Ok(shards) = fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -245,7 +242,7 @@ impl DiskCache {
             .flatten()
             .filter_map(|s| fs::read_dir(s.path()).ok())
             .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "plan"))
+            .filter(|f| f.path().extension().is_some_and(|e| e == ext))
             .count()
     }
 }
@@ -271,15 +268,7 @@ impl DiskCache {
 
     /// Number of `.quarantine` files currently on disk (diagnostic aid).
     pub fn quarantine_count(&self) -> usize {
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        shards
-            .flatten()
-            .filter_map(|s| fs::read_dir(s.path()).ok())
-            .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "quarantine"))
-            .count()
+        self.count_with_extension("quarantine")
     }
 }
 

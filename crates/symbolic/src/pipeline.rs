@@ -399,46 +399,10 @@ pub fn plan_program_incremental(
 ) -> (EnforcementPlan, IncrementalStats) {
     let mut plan = EnforcementPlan::new();
     let mut stats = IncrementalStats::default();
-    for (_, decision, hit) in plan_positions(program, config, cache, store, &mut |_| true) {
+    let mut answer = |decision: FnDecision, hit: bool| {
         stats.defines.push((decision.name.clone(), hit));
         plan.decisions.push(decision);
-    }
-    (plan, stats)
-}
-
-/// Plans only the `define` forms at the given `top_level` positions
-/// (program-order indices into [`Program::top_level`]), returning
-/// `(position, decision, hit?)` triples. Positions that are not λ-bound
-/// `define`s are skipped silently, exactly as [`plan_program`] skips them.
-///
-/// This is the fan-out primitive of the `sct serve` daemon: each worker
-/// thread compiles the program itself (the AST is thread-local by design)
-/// and plans a disjoint slice of positions against a shared
-/// [`DecisionStore`], and since the cache keys depend only on program
-/// *content*, every worker derives identical keys.
-pub fn plan_program_subset(
-    program: &Program,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    store: &mut dyn DecisionStore,
-    positions: &[usize],
-) -> Vec<(usize, FnDecision, bool)> {
-    plan_positions(program, config, cache, store, &mut |pos| {
-        positions.contains(&pos)
-    })
-}
-
-/// The shared walk behind [`plan_program_incremental`] and
-/// [`plan_program_subset`]: visits every `define` form (keeping the
-/// occurrence counters exact), plans the ones `filter` admits.
-fn plan_positions(
-    program: &Program,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    store: &mut dyn DecisionStore,
-    filter: &mut dyn FnMut(usize) -> bool,
-) -> Vec<(usize, FnDecision, bool)> {
-    let mut out = Vec::new();
+    };
     // One AST walk for λ display names, shared by every attempt below.
     let names = Rc::new(lambda_names(program));
     // One evaluation of the top-level environment, shared by every
@@ -459,9 +423,8 @@ fn plan_positions(
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
     // applications of them (see `Executor::try_stub`). The table lives
-    // for this pass; the store carries summaries *across* passes (and
-    // across a serve daemon's workers) under the same content keys as
-    // decisions.
+    // for this pass; the store carries summaries *across* passes under
+    // the same content keys as decisions.
     let summaries_on = config.summaries;
     if summaries_on {
         config.obs.summary_touch();
@@ -471,7 +434,7 @@ fn plan_positions(
     // Occurrence counter per global: a shadowed name yields one decision
     // per `define` form, and those must not alias in the store.
     let mut occurrence: HashMap<u32, u32> = HashMap::new();
-    for (pos, form) in program.top_level.iter().enumerate() {
+    for form in &program.top_level {
         let TopForm::Define { index, expr } = form else {
             continue;
         };
@@ -486,25 +449,6 @@ fn plan_positions(
         let key = digests
             .as_ref()
             .map(|d| d.key_at(program, *index, this_occ, config));
-        if !filter(pos) {
-            // Not this caller's slice (a serve worker planning a subset):
-            // still try to consume a peer's persisted summary, so fan-out
-            // workers stop re-exploring the shared helpers they do not
-            // own. A miss just means full descent — never an error.
-            if summaries_on {
-                register_summary_from_store(
-                    store,
-                    key.as_deref(),
-                    def,
-                    *index,
-                    lambda_index.as_ref(),
-                    mutation,
-                    &mut summary_table,
-                    &config.obs,
-                );
-            }
-            continue;
-        }
         let nested = nested_lambda_ids(def);
         if let Some(key) = &key {
             if let Some(portable) = store.load(key) {
@@ -516,19 +460,21 @@ fn plan_positions(
                     // summary (Static defines only) still feeds later
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
-                    if summaries_on && matches!(decision.decision, Decision::Static { .. }) {
-                        register_summary_from_store(
-                            store,
-                            Some(key),
-                            def,
-                            *index,
-                            lambda_index.as_ref(),
-                            mutation,
-                            &mut summary_table,
-                            &config.obs,
-                        );
+                    // (`lambda_index` exists only with summaries on.)
+                    if let (Some(li), Decision::Static { .. }) = (&lambda_index, &decision.decision)
+                    {
+                        match store
+                            .load_summary(key)
+                            .and_then(|p| rebind_summary(&p, def, li, mutation, *index))
+                        {
+                            Some(summary) => {
+                                config.obs.summary_hit();
+                                summary_table.insert(def.id, Rc::new(summary));
+                            }
+                            None => config.obs.summary_miss(),
+                        }
                     }
-                    out.push((pos, decision, true));
+                    answer(decision, true);
                     continue;
                 }
             }
@@ -538,11 +484,7 @@ fn plan_positions(
         // to Monitor instead of exploring. Never persisted — the verdict
         // reflects the wall clock, not the content the key commits to.
         if config.deadline.is_some_and(|d| Instant::now() >= d) {
-            out.push((
-                pos,
-                monitor_fallback(name, def, blame, DEADLINE_REASON),
-                false,
-            ));
+            answer(monitor_fallback(name, def, blame, DEADLINE_REASON), false);
             continue;
         }
         // A proof is only as durable as the bindings it reads: if this
@@ -580,16 +522,6 @@ fn plan_positions(
                 &snapshot,
             )
         };
-        // A decision reached only because the wall clock truncated the
-        // ladder depends on machine load, not on the inputs the key
-        // commits to: persisting it would pin a slow moment's pessimism
-        // forever (the same reasoning that forbids refuting on a
-        // truncated ladder). Recompute it next time instead.
-        if cacheable {
-            if let Some(key) = &key {
-                store.store(key, &PortableDecision::from_decision(&decision, &nested));
-            }
-        }
         // Register (and, when cacheable, persist) the freshly verified
         // define's contract summary. Only `Static` decisions produce one
         // — opaque-tainted defines end Inconclusive and mutation-tainted
@@ -625,9 +557,21 @@ fn plan_positions(
                 }
             }
         }
-        out.push((pos, decision, false));
+        // A decision reached only because the wall clock truncated the
+        // ladder depends on machine load, not on the inputs the key
+        // commits to: persisting it would pin a slow moment's pessimism
+        // forever (the same reasoning that forbids refuting on a
+        // truncated ladder). Recompute it next time instead. Persisted
+        // after the summary, so a concurrent pass that hits this decision
+        // also finds its summary and stubs exactly as this pass does.
+        if cacheable {
+            if let Some(key) = &key {
+                store.store(key, &PortableDecision::from_decision(&decision, &nested));
+            }
+        }
+        answer(decision, false);
     }
-    out
+    (plan, stats)
 }
 
 /// The reason recorded on decisions degraded by [`PlanConfig::deadline`].
@@ -657,25 +601,21 @@ fn monitor_fallback(
     }
 }
 
-/// Fabricates degraded [`Decision::Monitor`] decisions for the λ-bound
-/// `define`s at `positions` without running any verification — the bottom
-/// rung of the degradation ladder, for drivers whose *planner itself* is
-/// unavailable (a stalled or crashed worker, an expired request deadline).
-/// Positions that are not λ-bound `define`s are skipped, exactly as
-/// [`plan_program_subset`] skips them, so the two functions agree on which
-/// positions yield decisions. The triples' `hit?` flag is always `false`
-/// and the decisions must never be persisted: they reflect scheduler
-/// state, not program content.
+/// Fabricates degraded [`Decision::Monitor`] decisions for every λ-bound
+/// `define` without running any verification — the bottom rung of the
+/// degradation ladder, for callers whose *planner itself* is unavailable
+/// (a stalled worker past an expired request deadline). The decisions
+/// name exactly the defines [`plan_program_incremental`] decides, in the
+/// same order; every `hit?` flag in the stats is `false`, and the
+/// decisions must never be persisted: they reflect scheduler state, not
+/// program content.
 pub fn monitor_fallback_decisions(
     program: &Program,
-    positions: &[usize],
     reason: &str,
-) -> Vec<(usize, FnDecision, bool)> {
-    let mut out = Vec::new();
-    for (pos, form) in program.top_level.iter().enumerate() {
-        if !positions.contains(&pos) {
-            continue;
-        }
+) -> (EnforcementPlan, IncrementalStats) {
+    let mut plan = EnforcementPlan::new();
+    let mut stats = IncrementalStats::default();
+    for form in &program.top_level {
         let TopForm::Define { index, expr } = form else {
             continue;
         };
@@ -683,9 +623,11 @@ pub fn monitor_fallback_decisions(
         let Some((def, blame)) = unwrap_termc(expr) else {
             continue;
         };
-        out.push((pos, monitor_fallback(name, def, blame, reason), false));
+        stats.defines.push((name.to_string(), false));
+        plan.decisions
+            .push(monitor_fallback(name, def, blame, reason));
     }
-    out
+    (plan, stats)
 }
 
 /// Compile-independent λ addressing for summary persistence: every λ of
@@ -812,34 +754,6 @@ fn rebind_summary(
         graphs,
         reachable: Rc::new(mutation.reachable_from(index)),
     })
-}
-
-/// Tries to register a persisted contract summary for `def` from the
-/// store, counting the outcome in `plan.summary.{hits,misses}`.
-#[allow(clippy::too_many_arguments)]
-fn register_summary_from_store(
-    store: &mut dyn DecisionStore,
-    key: Option<&str>,
-    def: &Rc<LambdaDef>,
-    index: u32,
-    lambda_index: Option<&LambdaIndex>,
-    mutation: &MutationMap,
-    table: &mut SummaryTable,
-    obs: &PlanObs,
-) {
-    let (Some(key), Some(li)) = (key, lambda_index) else {
-        return;
-    };
-    let summary = store
-        .load_summary(key)
-        .and_then(|p| rebind_summary(&p, def, li, mutation, index));
-    match summary {
-        Some(s) => {
-            obs.summary_hit();
-            table.insert(def.id, Rc::new(s));
-        }
-        None => obs.summary_miss(),
-    }
 }
 
 /// Which globals the program mutates (`set!` anywhere — top level, define
@@ -1783,10 +1697,11 @@ mod tests {
     }
 
     #[test]
-    fn monitor_fallback_decisions_mirror_subset_positions() {
-        // The serve daemon fabricates these when a worker dies or stalls:
-        // they must cover exactly the λ-define positions plan_program_subset
-        // would answer for, carry the caller's reason, and claim no hit.
+    fn monitor_fallback_decisions_mirror_planned_defines() {
+        // The serve daemon fabricates these when a planning job stalls
+        // past its deadline: they must name exactly the defines
+        // plan_program_incremental decides, in the same order, carry the
+        // caller's reason, and claim no hit.
         let prog = compile_program(
             "(define limit 10)
              (define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))
@@ -1794,25 +1709,27 @@ mod tests {
              (define (id x) x)",
         )
         .unwrap();
-        let all: Vec<usize> = (0..prog.top_level.len()).collect();
-        let fabricated = monitor_fallback_decisions(&prog, &all, "worker lost");
-        let planned = plan_program_subset(
+        let (fabricated, fab_stats) = monitor_fallback_decisions(&prog, "worker lost");
+        let (planned, stats) = plan_program_incremental(
             &prog,
             &PlanConfig::default(),
             &mut PlanCache::new(),
             &mut NullStore,
-            &all,
         );
+        let names = |p: &EnforcementPlan| -> Vec<(String, u32)> {
+            p.decisions
+                .iter()
+                .map(|d| (d.name.clone(), d.lambda))
+                .collect()
+        };
+        assert_eq!(names(&fabricated), names(&planned));
+        assert_eq!(names(&fabricated).len(), 2, "{:?}", fabricated.decisions);
         assert_eq!(
-            fabricated.iter().map(|(p, ..)| *p).collect::<Vec<_>>(),
-            planned.iter().map(|(p, ..)| *p).collect::<Vec<_>>(),
-            "both answer exactly the λ-define positions"
+            fab_stats.defines.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            stats.defines.iter().map(|(n, _)| n).collect::<Vec<_>>()
         );
-        for ((pos, d, hit), (ppos, pd, _)) in fabricated.iter().zip(planned.iter()) {
-            assert_eq!(pos, ppos);
-            assert_eq!(d.name, pd.name);
-            assert_eq!(d.lambda, pd.lambda);
-            assert!(!hit);
+        assert_eq!(fab_stats.hits(), 0);
+        for d in &fabricated.decisions {
             assert!(
                 matches!(&d.decision, Decision::Monitor { reason } if reason == "worker lost"),
                 "{:?}",

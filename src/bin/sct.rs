@@ -47,8 +47,11 @@
 //!
 //! `serve` starts the long-running daemon: newline-delimited JSON
 //! requests (`plan`, `run`, `hybrid`, `stats`, `metrics`, `shutdown`)
-//! over stdio or a Unix socket, planning fanned out across a warm
-//! worker pool — see `sct_contracts::serve` for the wire protocol.
+//! over stdio or a Unix socket, planned on a warm worker pool — see
+//! `sct_contracts::serve` for the wire protocol. Each `plan`/`hybrid`
+//! request is one pool job that plans the whole program, so the answer
+//! is the single-threaded plan; `--threads N` sets the pool width, the
+//! number of planning requests that run concurrently.
 //! `--deadline-ms` bounds each request's wall clock (planning past it
 //! degrades to monitored decisions; execution past it stops with a
 //! `deadline exceeded` error), `--max-queue` /

@@ -11,9 +11,11 @@
 //!   shared by every request, plus one
 //!   [`PlanCache`] (interner + LJB memo) *per worker thread* that stays
 //!   warm across requests;
-//! * `plan`/`hybrid` requests fan the program's `define`s out across the
-//!   worker pool ([`plan_program_subset`] slices), so multi-define
-//!   programs plan in parallel;
+//! * each `plan`/`hybrid` request is one pool job: a worker compiles the
+//!   source and plans the whole program with
+//!   [`plan_program_incremental`], so a served plan is exactly the
+//!   single-thread `plan_program` answer, and the pool width is the
+//!   number of planning requests that run concurrently;
 //! * any number of clients connect over a Unix socket (or a single client
 //!   over stdio) and receive independent, correct results — program
 //!   execution is per-connection, planning is shared-nothing except the
@@ -96,13 +98,15 @@
 //!   a distinct error, and the pool respawns the thread before the next
 //!   dispatch.
 //! * **A deadline** ([`ServeOptions::deadline_ms`] or the request's
-//!   `deadline_ms`) degrades instead of erroring: `define`s the workers
-//!   have not answered by the deadline get fabricated
-//!   `Decision::Monitor` decisions — sound, maximally pessimistic, and
-//!   never persisted under content keys — and executions stop with a
-//!   `deadline exceeded` error. A stalled worker's late real answer
-//!   still lands in the store, so the next request self-heals to the
-//!   precise plan.
+//!   `deadline_ms`) degrades instead of erroring: the worker itself
+//!   stops exploring at the deadline and answers `Decision::Monitor` for
+//!   the defines it has not reached, and a request whose job has not
+//!   answered at all by the deadline (plus a short grace) gets
+//!   fabricated `Decision::Monitor` decisions for every define — sound,
+//!   maximally pessimistic, and never persisted under content keys.
+//!   Executions stop with a `deadline exceeded` error. A stalled
+//!   worker's late real answer still lands in the store, so the next
+//!   request self-heals to the precise plan.
 //! * **Overload** is shed at admission: past
 //!   [`ServeOptions::max_queue`] globally or
 //!   [`ServeOptions::max_inflight_per_client`] per client, expensive
@@ -135,18 +139,18 @@
 use sct_cache::{CacheObs, CacheStats, DiskCache, MemStore};
 use sct_core::json::{parse, Json};
 use sct_core::monitor::TableStrategy;
-use sct_core::plan::{Decision, EnforcementPlan, FnDecision};
+use sct_core::plan::{Decision, EnforcementPlan};
 use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Stats};
 use sct_ir::CompiledProgram;
-use sct_lang::ast::{Program, TopForm};
+use sct_lang::ast::Program;
 use sct_obs::{trace, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use sct_symbolic::pipeline::{
-    monitor_fallback_decisions, plan_program_subset, DecisionStore, IncrementalStats, PlanCache,
-    PlanConfig, PlanObs, DEADLINE_REASON,
+    monitor_fallback_decisions, plan_program_incremental, DecisionStore, IncrementalStats,
+    PlanCache, PlanConfig, PlanObs, DEADLINE_REASON,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -166,12 +170,12 @@ use std::time::{Duration, Instant};
 /// stalled worker.
 const POOL_REPLY_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// How long past an expired request deadline the collector still accepts
-/// worker replies before fabricating degraded decisions for the rest.
-/// Long enough for a reply already in flight (a store hit, a worker's
-/// own in-pass degradation — microseconds) to land; short enough that a
-/// genuinely stalled worker cannot stretch the request much past its
-/// deadline.
+/// How long past an expired request deadline a request still waits for
+/// its worker's reply before fabricating degraded decisions for the whole
+/// program. Long enough for a reply already in flight (store hits, the
+/// worker's own in-pass degradation — microseconds per define) to land;
+/// short enough that a genuinely stalled worker cannot stretch the
+/// request much past its deadline.
 const DEADLINE_GRACE: Duration = Duration::from_millis(100);
 
 /// Locks `m`, recovering from poisoning. Every mutex in this module
@@ -290,8 +294,8 @@ impl DecisionStore for StoreKind {
 }
 
 /// A [`DecisionStore`] view over the shared store: workers lock per
-/// operation, so store I/O serializes but exploration (the expensive
-/// part) runs fully in parallel.
+/// operation, so store I/O serializes but concurrent requests' exploration
+/// (the expensive part) runs fully in parallel.
 struct SharedStore(Arc<Mutex<StoreKind>>);
 
 impl DecisionStore for SharedStore {
@@ -309,16 +313,21 @@ impl DecisionStore for SharedStore {
     }
 }
 
-/// A worker's answer: `(top-form position, decision, hit?)` per planned
-/// define, or a compile-error message.
-type JobResult = Result<Vec<(usize, FnDecision, bool)>, String>;
+/// A worker's answer: the whole program's plan with its store accounting,
+/// or an error message.
+type JobResult = Result<(EnforcementPlan, IncrementalStats), String>;
 
-/// One fan-out unit: plan the defines at `positions` of `source`.
+/// One planning request: plan every define of `source`.
 struct Job {
     source: Arc<str>,
-    positions: Vec<usize>,
     config: PlanConfig,
     reply: mpsc::Sender<JobResult>,
+}
+
+/// Compiles a request source, reporting failure in the protocol's
+/// `compile error: …` form.
+fn compile(source: &str) -> Result<Program, String> {
+    sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))
 }
 
 /// State shared between the pool handle and its workers — split out so
@@ -358,9 +367,9 @@ impl Drop for DeathNote {
 
 /// One worker's receive-plan-reply loop.
 fn worker_body(shared: &PoolShared) {
-    // The warm per-worker state. The AST is Rc-based (not Send), so each
-    // worker compiles its own copy of the source — compilation is linear
-    // and cheap next to symbolic exploration.
+    // The warm per-worker state. The AST is Rc-based (not Send), so the
+    // worker compiles the source itself; the request thread never does for
+    // a `plan`.
     let mut cache = PlanCache::new();
     loop {
         let job = {
@@ -381,16 +390,14 @@ fn worker_body(shared: &PoolShared) {
         sct_faults::act("serve.pool.worker");
         let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| {
             sct_faults::act("serve.pool.job");
-            match sct_lang::compile_program(&job.source) {
-                Ok(program) => Ok(plan_program_subset(
+            compile(&job.source).map(|program| {
+                plan_program_incremental(
                     &program,
                     &job.config,
                     &mut cache,
                     &mut SharedStore(Arc::clone(&shared.store)),
-                    &job.positions,
-                )),
-                Err(e) => Err(format!("compile error: {e}")),
-            }
+                )
+            })
         }));
         let result = outcome.unwrap_or_else(|_| {
             // In-place recovery: the interner/memo may be mid-mutation,
@@ -412,37 +419,22 @@ fn spawn_worker(label: u64, shared: Arc<PoolShared>) -> thread::JoinHandle<()> {
         .expect("spawning plan worker")
 }
 
-/// RAII debt against the `serve.queue_depth` gauge: one unit per job a
-/// request has dispatched and not yet collected. Drop settles whatever
-/// is still outstanding, so every exit path — success, worker death,
-/// deadline fabrication — restores the gauge.
-struct QueueDebt<'a> {
-    gauge: &'a Gauge,
-    outstanding: i64,
-}
+/// One unit of the `serve.queue_depth` gauge, held while a request waits
+/// on its dispatched job. Drop returns it, so every exit path — reply,
+/// worker death, deadline fabrication — restores the gauge.
+struct QueuedJob<'a>(&'a Gauge);
 
-impl QueueDebt<'_> {
-    fn incur(&mut self) {
-        self.gauge.inc();
-        self.outstanding += 1;
-    }
-    fn settle(&mut self) {
-        self.gauge.dec();
-        self.outstanding -= 1;
+impl<'a> QueuedJob<'a> {
+    fn new(gauge: &'a Gauge) -> QueuedJob<'a> {
+        gauge.inc();
+        QueuedJob(gauge)
     }
 }
 
-impl Drop for QueueDebt<'_> {
+impl Drop for QueuedJob<'_> {
     fn drop(&mut self) {
-        self.gauge.add(-self.outstanding);
+        self.0.dec();
     }
-}
-
-/// What [`PlanPool::plan`] produced for one request.
-struct PlannedSource {
-    program: Program,
-    plan: EnforcementPlan,
-    stats: IncrementalStats,
 }
 
 /// The planning thread pool. Workers are spawned once and live for the
@@ -529,91 +521,58 @@ impl PlanPool {
         }
     }
 
-    /// Plans `source`, fanning independent defines across the pool.
-    /// Returns the caller-thread compile of the program too, so `hybrid`
-    /// requests can run it without compiling again.
+    /// Plans `source` as one pool job: a worker compiles it and plans
+    /// every define with [`plan_program_incremental`], so the answer is
+    /// the single-thread plan whatever the pool width.
     ///
-    /// With [`PlanConfig::deadline`] set, positions still unanswered at
-    /// the deadline are filled with fabricated `Decision::Monitor`
-    /// decisions (the degradation ladder) instead of failing the
-    /// request; a stalled worker's late real answer still reaches the
-    /// store, healing the next request. Without a deadline, only worker
-    /// death (immediate) or the defensive [`POOL_REPLY_TIMEOUT`] ends
-    /// the wait early, both as distinct errors.
-    fn plan(&self, source: &str, config: &PlanConfig) -> Result<PlannedSource, String> {
-        // Guard the recursive compile/digest walks before touching them —
-        // here and not in the workers, because every worker job's source
-        // passed through this method first.
+    /// With [`PlanConfig::deadline`] set, a job still unanswered at the
+    /// deadline plus [`DEADLINE_GRACE`] is replaced by fabricated
+    /// `Decision::Monitor` decisions for every define (the degradation
+    /// ladder) instead of failing the request; a stalled worker's late
+    /// real answer still reaches the store, healing the next request.
+    /// Without a deadline, only worker death (immediate) or the
+    /// defensive [`POOL_REPLY_TIMEOUT`] ends the wait early, both as
+    /// distinct errors.
+    fn plan(
+        &self,
+        source: &str,
+        config: &PlanConfig,
+    ) -> Result<(EnforcementPlan, IncrementalStats), String> {
+        // Guard the recursive compile/digest walks before a worker
+        // touches them.
         source_depth_ok(source)?;
         // Repair the pool before dispatch: a worker lost to an earlier
         // request must not shrink capacity for this one.
         self.ensure_workers();
-        // Compile once up front: fail fast on syntax errors and learn the
-        // define positions to partition.
-        let program =
-            sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))?;
-        let positions: Vec<usize> = program
-            .top_level
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, TopForm::Define { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let chunk_count = self.threads.min(positions.len()).max(1);
-        // Round-robin keeps a heavy prefix (helpers first is the common
-        // program shape) from landing on one worker.
-        let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); chunk_count];
-        for (i, pos) in positions.iter().enumerate() {
-            chunks[i % chunk_count].push(*pos);
-        }
-        let source: Arc<str> = Arc::from(source);
         let (reply_tx, reply_rx) = mpsc::channel();
-        let mut sent = 0usize;
-        let mut debt = QueueDebt {
-            gauge: &self.queue_depth,
-            outstanding: 0,
-        };
-        for chunk in chunks.into_iter().filter(|c| !c.is_empty()) {
-            self.jobs
-                .send(Job {
-                    source: Arc::clone(&source),
-                    positions: chunk,
-                    config: config.clone(),
-                    reply: reply_tx.clone(),
-                })
-                .map_err(|_| "planning pool is gone".to_string())?;
-            debt.incur();
-            sent += 1;
-        }
-        drop(reply_tx);
-        let mut all: Vec<(usize, FnDecision, bool)> = Vec::new();
-        let mut received = 0usize;
-        let mut past_deadline = false;
-        while received < sent {
+        self.jobs
+            .send(Job {
+                source: Arc::from(source),
+                config: config.clone(),
+                reply: reply_tx,
+            })
+            .map_err(|_| "planning pool is gone".to_string())?;
+        let _queued = QueuedJob::new(&self.queue_depth);
+        loop {
             let (timeout, in_grace) = match config.deadline {
                 Some(d) => match d.checked_duration_since(Instant::now()) {
                     Some(left) => (left.min(POOL_REPLY_TIMEOUT), false),
-                    // Past the deadline, replies already in flight get
+                    // Past the deadline, a reply already in flight gets
                     // one short grace to land: an expired deadline still
-                    // honors store hits and the workers' own (fast)
-                    // in-pass degradations — fabrication is only for
-                    // workers that are truly stuck.
+                    // honors store hits and the worker's own (fast)
+                    // in-pass degradation — fabrication is only for a
+                    // worker that is truly stuck.
                     None => (DEADLINE_GRACE, true),
                 },
                 None => (POOL_REPLY_TIMEOUT, false),
             };
             match reply_rx.recv_timeout(timeout) {
-                Ok(Ok(slice)) => {
-                    all.extend(slice);
-                    debt.settle();
-                    received += 1;
-                }
-                Ok(Err(e)) => return Err(e),
-                // All remaining reply senders are gone without a reply:
-                // a worker died (panicked outside its job guard) holding
-                // this request's job. Fail *now* with the real cause —
-                // waiting out a timeout would wedge the client for
-                // minutes on an already-lost request.
+                Ok(reply) => return reply,
+                // The reply sender is gone without a reply: the worker
+                // died (panicked outside its job guard) holding this
+                // request's job. Fail *now* with the real cause — waiting
+                // out a timeout would wedge the client for minutes on an
+                // already-lost request.
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(format!(
                         "planning worker died mid-job (pool respawns it; \
@@ -623,8 +582,17 @@ impl PlanPool {
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if in_grace {
-                        past_deadline = true;
-                        break;
+                        // The degradation ladder's bottom rung: sound,
+                        // maximally pessimistic decisions for every
+                        // define. Never persisted (no store call here),
+                        // so one slow moment cannot pin pessimism under
+                        // a content key. The only request-thread compile
+                        // on the `plan` path: fabrication needs the
+                        // program's defines.
+                        return Ok(monitor_fallback_decisions(
+                            &compile(source)?,
+                            DEADLINE_REASON,
+                        ));
                     }
                     if config.deadline.is_none() {
                         return Err("planning pool did not answer".to_string());
@@ -634,36 +602,6 @@ impl PlanPool {
                 }
             }
         }
-        if past_deadline {
-            // The degradation ladder's bottom rung: fabricate sound,
-            // maximally pessimistic decisions for whatever the workers
-            // have not answered. Never persisted (no store call here),
-            // so one slow moment cannot pin pessimism under a content
-            // key.
-            let answered: HashSet<usize> = all.iter().map(|(p, ..)| *p).collect();
-            let missing: Vec<usize> = positions
-                .iter()
-                .copied()
-                .filter(|p| !answered.contains(p))
-                .collect();
-            all.extend(monitor_fallback_decisions(
-                &program,
-                &missing,
-                DEADLINE_REASON,
-            ));
-        }
-        all.sort_by_key(|(pos, _, _)| *pos);
-        let mut plan = EnforcementPlan::new();
-        let mut stats = IncrementalStats::default();
-        for (_, decision, hit) in all {
-            stats.defines.push((decision.name.clone(), hit));
-            plan.decisions.push(decision);
-        }
-        Ok(PlannedSource {
-            program,
-            plan,
-            stats,
-        })
     }
 }
 
@@ -1096,7 +1034,11 @@ impl Server {
         (Json::Obj(full), quit)
     }
 
-    fn plan_source(&self, req: &Json, deadline: Option<Instant>) -> Result<PlannedSource, String> {
+    fn plan_source(
+        &self,
+        req: &Json,
+        deadline: Option<Instant>,
+    ) -> Result<(EnforcementPlan, IncrementalStats), String> {
         let source = req
             .get("source")
             .and_then(Json::as_str)
@@ -1124,14 +1066,14 @@ impl Server {
         let planned = self.plan_source(req, self.request_deadline(req));
         drop(plan_span);
         match planned {
-            Ok(planned) => {
-                let degraded = self.note_degraded(&planned.plan);
-                let plan_doc = parse(&planned.plan.to_json()).expect("plan JSON is well-formed");
+            Ok((plan, stats)) => {
+                let degraded = self.note_degraded(&plan);
+                let plan_doc = parse(&plan.to_json()).expect("plan JSON is well-formed");
                 vec![
                     ("ok".into(), Json::Bool(true)),
                     ("plan".into(), plan_doc),
-                    ("cache".into(), cache_json(&planned.stats)),
-                    ("defines".into(), defines_json(&planned.stats)),
+                    ("cache".into(), cache_json(&stats)),
+                    ("defines".into(), defines_json(&stats)),
                     ("degraded".into(), Json::Int(degraded as i64)),
                 ]
             }
@@ -1149,36 +1091,31 @@ impl Server {
         // One deadline spans the whole request: planning spends from the
         // same budget the execution finishes on.
         let deadline = self.request_deadline(req);
-        // `hybrid` plans first (which compiles on this thread); plain `run`
-        // compiles here. Either way the program is compiled exactly once
-        // per request on the request thread.
-        let (program, planned) = if hybrid {
+        let planned = if hybrid {
             let plan_span = span.child("plan", &[]);
             let planned = self.plan_source(req, deadline);
             drop(plan_span);
             match planned {
-                Ok(planned) => {
-                    self.note_degraded(&planned.plan);
-                    (planned.program, Some((planned.plan, planned.stats)))
-                }
+                Ok(planned) => Some(planned),
                 Err(e) => return fail(&e),
             }
         } else {
-            if let Err(e) = source_depth_ok(source) {
-                return fail(&e);
-            }
-            match sct_lang::compile_program(source) {
-                Ok(p) => (p, None),
-                Err(e) => return fail(&format!("compile error: {e}")),
-            }
+            None
+        };
+        // The worker's AST cannot cross threads, so the execution compiles
+        // its own program here, for `run` and `hybrid` alike.
+        let program = match source_depth_ok(source).and_then(|()| compile(source)) {
+            Ok(program) => program,
+            Err(e) => return fail(&e),
         };
         let mut extra: Vec<(String, Json)> = Vec::new();
-        let config = match &planned {
+        let config = match planned {
             Some((plan, stats)) => {
+                let degraded = self.note_degraded(&plan);
                 // Per-request warm-plan observability: store hits/misses
                 // plus the warm bit (a fully warm plan did zero symbolic
                 // exploration on this request).
-                extra.push(("cache".into(), cache_json(stats)));
+                extra.push(("cache".into(), cache_json(&stats)));
                 extra.push((
                     "plan_summary".into(),
                     Json::Obj(vec![
@@ -1187,8 +1124,8 @@ impl Server {
                         ("refuted".into(), Json::Int(plan.count("refuted") as i64)),
                     ]),
                 ));
-                extra.push(("degraded".into(), Json::Int(degraded_count(plan) as i64)));
-                if let Some(err) = crate::refutation_error(plan) {
+                extra.push(("degraded".into(), Json::Int(degraded as i64)));
+                if let Some(err) = crate::refutation_error(&plan) {
                     let blame = match &err {
                         EvalError::Sc(info) => info.blame.clone(),
                         _ => None,
@@ -1203,7 +1140,7 @@ impl Server {
                     mode: SemanticsMode::Monitored,
                     fuel,
                     deadline,
-                    plan: Some(Rc::new(plan.clone())),
+                    plan: Some(Rc::new(plan)),
                     ..MachineConfig::monitored(TableStrategy::Imperative)
                 }
             }
