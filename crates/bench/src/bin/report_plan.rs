@@ -14,8 +14,8 @@
 //!       "cold_full_ms": 1234.5, "cold_summary_ms": 56.7,
 //!       "speedup": 21.8,
 //!       "warm_ms": 12.3, "incremental_ms": 4.5,
-//!       "incremental_misses": 9,
-//!       "summary_hits": 1000, "summary_misses": 0,
+//!       "incremental_misses": 9, "warm_summary_loads": 0,
+//!       "summary_hits": 650, "summary_misses": 0,
 //!       "stubbed_applications": 2500,
 //!       "static_summary": 1000, "static_full": 1000 }
 //!   ]
@@ -28,11 +28,14 @@
 //! `speedup` is their ratio (`null` for sizes where the full-descent
 //! pass was skipped as too slow, in which case `cold_full_ms` is `null`
 //! too). `warm_ms` replans the unchanged corpus against a store populated
-//! by a prior summaries-on pass (every decision a content-address hit,
-//! every summary replayed — `summary_hits`/`summary_misses` are the
-//! `plan.summary.*` counters from that run). `incremental_ms` edits one
-//! base-layer helper and replans warm: exactly the edited define and its
-//! transitive dependents miss (`incremental_misses`).
+//! by a prior summaries-on pass: every decision is a content-address hit,
+//! nothing is explored, so no summary is read (`warm_summary_loads`, the
+//! store's summary loads during one warm pass, is 0). `incremental_ms`
+//! edits one base-layer helper and replans warm: exactly the edited define
+//! and its transitive dependents miss (`incremental_misses`), and before
+//! each exploration the hits preceding it replay their persisted summaries
+//! (`summary_hits`/`summary_misses` are the `plan.summary.*` counters from
+//! that run).
 //! `stubbed_applications` counts callee applications answered by a
 //! summary during the cold summaries-on pass. `static_*` are the
 //! discharged-decision counts per mode — on this corpus the summary mode
@@ -76,7 +79,9 @@ const SEED: u64 = 7;
 /// recursions: layer 0 is `len` clones, and each define in layer `k > 0`
 /// applies `FANOUT` distinct defines from layer `k - 1` to `(cdr l)`
 /// alongside its own self-recursion. `base` is the base-case constant of
-/// define `f0` — the knob the incremental measurement edits.
+/// the last base-layer define — the knob the incremental measurement
+/// edits. Every other base-layer define precedes it, so the edited
+/// define's exploration has persisted summaries to consume.
 fn layered_corpus(n: usize, seed: u64, base: i64) -> String {
     let mut rng = Rng::new(seed);
     let per = (n / LAYERS).max(FANOUT);
@@ -93,7 +98,7 @@ fn layered_corpus(n: usize, seed: u64, base: i64) -> String {
         for _ in 0..count {
             let name = format!("f{idx}");
             if layer == 0 {
-                let b = if idx == 0 { base } else { 0 };
+                let b = if idx + 1 == per { base } else { 0 };
                 out.push_str(&format!(
                     "(define ({name} l) (if (null? l) {b} (+ 1 ({name} (cdr l)))))\n"
                 ));
@@ -147,6 +152,7 @@ struct Row {
     warm_ms: f64,
     incremental_ms: f64,
     incremental_misses: usize,
+    warm_summary_loads: u64,
     summary_hits: u64,
     summary_misses: u64,
     stubbed_applications: u64,
@@ -191,28 +197,35 @@ fn measure(n: usize, reps: usize, skip_full: bool) -> Row {
     };
 
     // Warm: populate a MemStore once (unmeasured), then replan the
-    // unchanged corpus — every decision hits, every summary replays.
+    // unchanged corpus — every decision hits and nothing is explored.
     let mut store = sct_cache::MemStore::new();
     let reg = Arc::new(Registry::new());
     time_plan(&prog, &cfg_with(true, &reg), &mut store);
+    let summary_loads = |s: &sct_cache::MemStore| {
+        let t = s.stats();
+        t.summary_hits + t.summary_misses
+    };
     let mut warm = Vec::new();
-    let mut summary_hits = 0;
-    let mut summary_misses = 0;
+    let mut warm_summary_loads = 0;
     for _ in 0..reps {
         let reg = Arc::new(Registry::new());
+        let before = summary_loads(&store);
         let (ms, _, misses) = time_plan(&prog, &cfg_with(true, &reg), &mut store);
         assert_eq!(misses, 0, "warm replay must hit every decision");
         warm.push(ms);
-        summary_hits = counter(&reg, "plan.summary.hits");
-        summary_misses = counter(&reg, "plan.summary.misses");
+        warm_summary_loads = summary_loads(&store) - before;
     }
 
-    // Incremental: edit f0's base constant, replan against the warm
-    // store. Exactly f0 and its transitive dependents miss.
+    // Incremental: edit the last base-layer define's base constant,
+    // replan against the warm store. Exactly it and its transitive
+    // dependents miss, and their explorations consume the persisted
+    // summaries of the hits before them.
     let edited = sct_lang::compile_program(&layered_corpus(n, SEED, 1)).unwrap();
     let reg = Arc::new(Registry::new());
     let (incremental_ms, _, incremental_misses) =
         time_plan(&edited, &cfg_with(true, &reg), &mut store);
+    let summary_hits = counter(&reg, "plan.summary.hits");
+    let summary_misses = counter(&reg, "plan.summary.misses");
     assert!(
         incremental_misses > 0 && incremental_misses < n,
         "the edit must invalidate some but not all defines \
@@ -226,6 +239,7 @@ fn measure(n: usize, reps: usize, skip_full: bool) -> Row {
         warm_ms: median(warm),
         incremental_ms,
         incremental_misses,
+        warm_summary_loads,
         summary_hits,
         summary_misses,
         stubbed_applications: stubbed,
@@ -306,7 +320,8 @@ fn main() {
         doc.push_str(&format!(
             "    {{ \"defines\": {}, \"cold_full_ms\": {}, \"cold_summary_ms\": {:.3}, \
              \"speedup\": {}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}, \
-             \"incremental_misses\": {}, \"summary_hits\": {}, \"summary_misses\": {}, \
+             \"incremental_misses\": {}, \"warm_summary_loads\": {}, \
+             \"summary_hits\": {}, \"summary_misses\": {}, \
              \"stubbed_applications\": {}, \"static_summary\": {}, \"static_full\": {} }}{}\n",
             r.defines,
             json_num(r.cold_full_ms),
@@ -315,6 +330,7 @@ fn main() {
             r.warm_ms,
             r.incremental_ms,
             r.incremental_misses,
+            r.warm_summary_loads,
             r.summary_hits,
             r.summary_misses,
             r.stubbed_applications,

@@ -41,6 +41,7 @@
 //! lookup instead of a closure computation.
 
 use crate::intern::{FxBuildHasher, GraphId, Interner};
+use crate::json::Json;
 use crate::ljb::{closure_check, ClosureResult};
 use crate::{ScGraph, ScViolation};
 use std::collections::HashMap;
@@ -331,6 +332,51 @@ impl EnforcementPlan {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+
+    /// The [`to_json`](EnforcementPlan::to_json) document as a [`Json`]
+    /// tree, members in the same order, built without a text round trip
+    /// (the `sct serve` daemon embeds it in its responses).
+    pub fn to_json_value(&self) -> Json {
+        let functions = self
+            .decisions
+            .iter()
+            .map(|d| {
+                let mut m: Vec<(String, Json)> = vec![
+                    ("name".into(), Json::str(d.name.as_str())),
+                    ("lambda".into(), Json::Int(i64::from(d.lambda))),
+                    ("decision".into(), Json::str(d.decision.tag())),
+                ];
+                match &d.decision {
+                    Decision::Static { guard } => m.push((
+                        "guard".into(),
+                        Json::Arr(guard.iter().map(|g| Json::str(g.to_string())).collect()),
+                    )),
+                    Decision::Refuted { culprit, .. } => {
+                        m.push(("culprit".into(), Json::str(culprit.as_str())))
+                    }
+                    Decision::Monitor { .. } => {}
+                }
+                m.push((
+                    "covers".into(),
+                    Json::Arr(d.covers.iter().map(|c| Json::Int(i64::from(*c))).collect()),
+                ));
+                m.push((
+                    "blame".into(),
+                    d.blame.as_deref().map_or(Json::Null, Json::str),
+                ));
+                m.push(("detail".into(), Json::str(d.detail.as_str())));
+                m.push((
+                    "micros".into(),
+                    Json::Int(i64::try_from(d.micros).unwrap_or(i64::MAX)),
+                ));
+                Json::Obj(m)
+            })
+            .collect();
+        Json::Obj(vec![
+            ("schema".into(), Json::str("sct-plan/1")),
+            ("functions".into(), Json::Arr(functions)),
+        ])
     }
 }
 

@@ -403,12 +403,6 @@ pub fn plan_program_incremental(
         stats.defines.push((decision.name.clone(), hit));
         plan.decisions.push(decision);
     };
-    // One AST walk for λ display names, shared by every attempt below.
-    let names = Rc::new(lambda_names(program));
-    // One evaluation of the top-level environment, shared by every
-    // exploration below — re-evaluating all N definitions per define
-    // made whole-program planning quadratic.
-    let snapshot = GlobalSnapshot::build(program, &config.verify.exec);
     // Content addressing costs a structural hash of the whole program;
     // skip it when the store cannot use keys anyway (NullStore).
     let digests = store.wants_keys().then(|| ProgramDigests::new(program));
@@ -429,8 +423,15 @@ pub fn plan_program_incremental(
     if summaries_on {
         config.obs.summary_touch();
     }
-    let lambda_index = (summaries_on && store.wants_keys()).then(|| LambdaIndex::build(program));
+    let persist_summaries = summaries_on && store.wants_keys();
     let mut summary_table: SummaryTable = HashMap::new();
+    // Hit `Static` defines whose persisted summaries have not been loaded
+    // yet, in source order. Only an exploration reads the summary table,
+    // so they are loaded right before the next one: a pass whose every
+    // define hits, and the hits after its last miss, never touch them.
+    let mut pending: Vec<(String, &Rc<LambdaDef>, u32)> = Vec::new();
+    // Built at the first define that must be explored, for the same reason.
+    let mut explorer: Option<Explorer> = None;
     // Occurrence counter per global: a shadowed name yields one decision
     // per `define` form, and those must not alias in the store.
     let mut occurrence: HashMap<u32, u32> = HashMap::new();
@@ -460,19 +461,8 @@ pub fn plan_program_incremental(
                     // summary (Static defines only) still feeds later
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
-                    // (`lambda_index` exists only with summaries on.)
-                    if let (Some(li), Decision::Static { .. }) = (&lambda_index, &decision.decision)
-                    {
-                        match store
-                            .load_summary(key)
-                            .and_then(|p| rebind_summary(&p, def, li, mutation, *index))
-                        {
-                            Some(summary) => {
-                                config.obs.summary_hit();
-                                summary_table.insert(def.id, Rc::new(summary));
-                            }
-                            None => config.obs.summary_miss(),
-                        }
+                    if persist_summaries && matches!(decision.decision, Decision::Static { .. }) {
+                        pending.push((key.clone(), def, *index));
                     }
                     answer(decision, true);
                     continue;
@@ -509,6 +499,24 @@ pub fn plan_program_incremental(
                 None,
             )
         } else {
+            let ex =
+                explorer.get_or_insert_with(|| Explorer::build(program, config, persist_summaries));
+            // Every hit before this define registers its summary now, so
+            // this exploration sees the table an eager pass would give it.
+            if let Some(li) = &ex.lambda_index {
+                for (key, def, index) in pending.drain(..) {
+                    match store
+                        .load_summary(&key)
+                        .and_then(|p| rebind_summary(&p, def, li, mutation, index))
+                    {
+                        Some(summary) => {
+                            config.obs.summary_hit();
+                            summary_table.insert(def.id, Rc::new(summary));
+                        }
+                        None => config.obs.summary_miss(),
+                    }
+                }
+            }
             plan_function(
                 program,
                 name,
@@ -516,10 +524,10 @@ pub fn plan_program_incremental(
                 blame,
                 config,
                 cache,
-                names.clone(),
+                ex.names.clone(),
                 summaries_on.then_some(&summary_table),
                 Some(*index),
-                &snapshot,
+                &ex.snapshot,
             )
         };
         // Register (and, when cacheable, persist) the freshly verified
@@ -539,7 +547,8 @@ pub fn plan_program_incremental(
                     .any(|(id, set)| *id == def.id && !set.is_empty());
                 if recursive {
                     if cacheable {
-                        if let (Some(key), Some(li)) = (&key, &lambda_index) {
+                        let li = explorer.as_ref().and_then(|ex| ex.lambda_index.as_ref());
+                        if let (Some(key), Some(li)) = (&key, li) {
                             if let Some(portable) = portable_summary(name, &data, li, program) {
                                 store.store_summary(key, &portable);
                             }
@@ -628,6 +637,28 @@ pub fn monitor_fallback_decisions(
             .push(monitor_fallback(name, def, blame, reason));
     }
     (plan, stats)
+}
+
+/// What exploring a define needs beyond the define itself, shared by
+/// every exploration of one [`plan_program_incremental`] pass.
+struct Explorer {
+    /// λ display names, from one AST walk.
+    names: Rc<HashMap<LambdaId, String>>,
+    /// One evaluation of the top-level environment — re-evaluating all N
+    /// definitions per define made whole-program planning quadratic.
+    snapshot: GlobalSnapshot,
+    /// Portable λ addresses, present only when summaries persist.
+    lambda_index: Option<LambdaIndex>,
+}
+
+impl Explorer {
+    fn build(program: &Program, config: &PlanConfig, persist_summaries: bool) -> Explorer {
+        Explorer {
+            names: Rc::new(lambda_names(program)),
+            snapshot: GlobalSnapshot::build(program, &config.verify.exec),
+            lambda_index: persist_summaries.then(|| LambdaIndex::build(program)),
+        }
+    }
 }
 
 /// Compile-independent λ addressing for summary persistence: every λ of
@@ -1474,11 +1505,12 @@ mod tests {
     }
 
     /// A map-backed [`DecisionStore`] for tests (sct-cache's MemStore
-    /// lives downstream of this crate).
+    /// lives downstream of this crate) that counts summary loads.
     #[derive(Default)]
     struct TestStore {
         map: HashMap<String, PortableDecision>,
         summaries: HashMap<String, PortableSummary>,
+        summary_loads: usize,
     }
 
     impl DecisionStore for TestStore {
@@ -1489,6 +1521,7 @@ mod tests {
             self.map.insert(key.to_string(), entry.clone());
         }
         fn load_summary(&mut self, key: &str) -> Option<PortableSummary> {
+            self.summary_loads += 1;
             self.summaries.get(key).cloned()
         }
         fn store_summary(&mut self, key: &str, summary: &PortableSummary) {
@@ -1580,6 +1613,65 @@ mod tests {
         };
         let full = plan_program(&edited, &descent);
         assert!(replanned.structurally_eq(&full));
+    }
+
+    #[test]
+    fn summaries_load_only_before_an_exploration() {
+        // Three recursive Static helpers, a Monitor define, and a caller
+        // that stubs `len`. `base` is the first define's base constant and
+        // `k` the last define's, so each edit changes exactly one define
+        // that nothing else references.
+        let source = |base: u32, k: u32| {
+            format!(
+                "(define (count n) (if (zero? n) {base} (count (- n 1))))
+                 (define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+                 (define (call g x) (g x))
+                 (define (sum l) (if (null? l) 0 (+ (car l) (sum (cdr l)))))
+                 (define (f l) (if (null? l) {k} (+ (len (cdr l)) (f (cdr l)))))"
+            )
+        };
+        let replan = |store: &mut TestStore, src: &str| {
+            let prog = compile_program(src).unwrap();
+            let reg = std::sync::Arc::new(sct_obs::Registry::new());
+            let cfg = PlanConfig {
+                obs: PlanObs::registered(reg.clone()),
+                ..PlanConfig::default()
+            };
+            store.summary_loads = 0;
+            let (plan, stats) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store);
+            let full = plan_program(
+                &prog,
+                &PlanConfig {
+                    summaries: false,
+                    ..PlanConfig::default()
+                },
+            );
+            let hits = reg.snapshot().counter("plan.summary.hits").unwrap_or(0);
+            (plan, stats.misses(), hits, full)
+        };
+        let mut store = TestStore::default();
+        let (cold, misses, _, _) = replan(&mut store, &source(0, 0));
+        assert_eq!(misses, 5);
+        assert_eq!(cold.count("static"), 4, "{:?}", cold.decisions);
+        assert_eq!(store.summaries.len(), 4, "every Static define recurses");
+
+        // All hits: nothing is explored, so no summary is read.
+        let (warm, misses, hits, _) = replan(&mut store, &source(0, 0));
+        assert_eq!((misses, store.summary_loads, hits), (0, 0, 0));
+        assert!(warm.structurally_eq(&cold));
+
+        // Editing the last define explores it after every other define
+        // hit: the three Static recursive helpers before it load (the
+        // Monitor define has no summary), and the plan is full descent's.
+        let (plan, misses, hits, full) = replan(&mut store, &source(0, 1));
+        assert_eq!((misses, store.summary_loads, hits), (1, 3, 3));
+        assert!(plan.structurally_eq(&full), "{plan}\n{full}");
+
+        // Editing the first define explores it before any hit, and every
+        // later define hits: no summary is read.
+        let (plan, misses, hits, full) = replan(&mut store, &source(1, 0));
+        assert_eq!((misses, store.summary_loads, hits), (1, 0, 0));
+        assert!(plan.structurally_eq(&full), "{plan}\n{full}");
     }
 
     #[test]

@@ -58,7 +58,8 @@
 //!   per-thread compile cache (compiled once per distinct source, reused
 //!   across requests).
 //! * `stats` → request counters, aggregate cache traffic
-//!   ([`sct_cache::CacheStats`]), the aggregate plan effect
+//!   ([`sct_cache::CacheStats`], contract-summary `.sum` traffic as
+//!   `summary_{hits,misses,stores}`), the aggregate plan effect
 //!   (`"plan":{"static_skips":…,"monitored_calls":…}` summed over every
 //!   execution served), worker count, uptime, and per-op latency
 //!   summaries (`"latency":{"plan":{"count":…,"p50_us":…,…},…}`).
@@ -1068,10 +1069,9 @@ impl Server {
         match planned {
             Ok((plan, stats)) => {
                 let degraded = self.note_degraded(&plan);
-                let plan_doc = parse(&plan.to_json()).expect("plan JSON is well-formed");
                 vec![
                     ("ok".into(), Json::Bool(true)),
-                    ("plan".into(), plan_doc),
+                    ("plan".into(), plan.to_json_value()),
                     ("cache".into(), cache_json(&stats)),
                     ("defines".into(), defines_json(&stats)),
                     ("degraded".into(), Json::Int(degraded as i64)),
@@ -1237,6 +1237,18 @@ impl Server {
                     ("rejected".into(), Json::Int(traffic.rejected as i64)),
                     ("stores".into(), Json::Int(traffic.stores as i64)),
                     ("quarantined".into(), Json::Int(traffic.quarantined as i64)),
+                    (
+                        "summary_hits".into(),
+                        Json::Int(traffic.summary_hits as i64),
+                    ),
+                    (
+                        "summary_misses".into(),
+                        Json::Int(traffic.summary_misses as i64),
+                    ),
+                    (
+                        "summary_stores".into(),
+                        Json::Int(traffic.summary_stores as i64),
+                    ),
                 ]),
             ),
             (

@@ -135,13 +135,15 @@ fn plan_request(source: &str) -> String {
 
 /// The daemon's answer to a `plan` of `source`.
 fn served(server: &Server, source: &str) -> Vec<Json> {
-    let response = server
-        .handle_line(&plan_request(source))
-        .response
-        .expect("plan gets a response");
-    let doc = parse(&response).unwrap_or_else(|e| panic!("bad response {response}: {e}"));
-    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{response}");
+    let doc = response(server, &plan_request(source));
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc}");
     untimed(doc.get("plan").expect("plan member"))
+}
+
+/// The daemon's parsed response to one request line.
+fn response(server: &Server, line: &str) -> Json {
+    let out = server.handle_line(line).response.expect("a response");
+    parse(&out).unwrap_or_else(|e| panic!("bad response {out}: {e}"))
 }
 
 fn server(threads: usize, cache_dir: Option<std::path::PathBuf>) -> Server {
@@ -225,6 +227,67 @@ fn concurrent_clients_on_one_store_get_the_single_thread_plan() {
             assert!(got == want, "{}", first_diff(&got, &want));
         }
     });
+}
+
+/// The plan tree the daemon embeds in a response encodes to exactly the
+/// bytes of the CLI's `to_json` document, so building it directly does
+/// not change what clients receive.
+#[test]
+fn plan_json_value_encodes_like_to_json() {
+    for (tag, source) in corpus() {
+        let program = sct_lang::compile_program(&source).expect("corpus source compiles");
+        let plan = plan_program(&program, &PlanConfig::default());
+        let reparsed = parse(&plan.to_json()).expect("plan JSON parses");
+        assert_eq!(
+            plan.to_json_value().to_string(),
+            reparsed.to_string(),
+            "{tag}"
+        );
+    }
+}
+
+/// `plan.summary.hits` plus the store's `.sum` traffic, as the daemon
+/// reports them.
+fn summary_traffic(server: &Server) -> Vec<i64> {
+    let metrics = response(server, r#"{"op":"metrics"}"#);
+    let stats = response(server, r#"{"op":"stats"}"#);
+    let counter = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("plan.summary.hits"))
+        .and_then(Json::as_i64)
+        .unwrap_or(0);
+    let cache = stats.get("cache").expect("stats carry cache traffic");
+    let mut out = vec![counter];
+    for field in ["summary_hits", "summary_misses", "summary_stores"] {
+        out.push(
+            cache
+                .get(field)
+                .and_then(Json::as_i64)
+                .unwrap_or_else(|| panic!("no cache.{field} in {stats}")),
+        );
+    }
+    out
+}
+
+/// A warm `plan` whose every define hits explores nothing, so it reads
+/// no contract summary: repeating it leaves the daemon's summary
+/// counters and `.sum` traffic where the cold plan left them.
+#[test]
+fn all_hit_plans_read_no_summaries() {
+    let _lock = serial();
+    for source in [ACK_PAD_LEN_F.to_string(), call_dag(8, 7)] {
+        let server = server(1, None);
+        served(&server, &source);
+        let after_cold = summary_traffic(&server);
+        assert!(after_cold[3] > 0, "the cold plan persists summaries");
+        for _ in 0..2 {
+            let doc = response(&server, &plan_request(&source));
+            let cache = doc.get("cache").expect("plan responses carry cache");
+            assert_eq!(cache.get("warm"), Some(&Json::Bool(true)), "{doc}");
+            assert_eq!(summary_traffic(&server), after_cold);
+        }
+    }
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
