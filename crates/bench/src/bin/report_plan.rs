@@ -29,13 +29,13 @@
 //! pass was skipped as too slow, in which case `cold_full_ms` is `null`
 //! too). `warm_ms` replans the unchanged corpus against a store populated
 //! by a prior summaries-on pass: every decision is a content-address hit,
-//! nothing is explored, so no summary is read (`warm_summary_loads`, the
-//! store's summary loads during one warm pass, is 0). `incremental_ms`
-//! edits one base-layer helper and replans warm: exactly the edited define
-//! and its transitive dependents miss (`incremental_misses`), and before
-//! each exploration the hits preceding it replay their persisted summaries
-//! (`summary_hits`/`summary_misses` are the `plan.summary.*` counters from
-//! that run).
+//! nothing is explored, so no summary is decoded (`warm_summary_loads`,
+//! the `plan.summary.{hits,misses}` total of one warm pass, is 0).
+//! `incremental_ms` edits one base-layer helper and replans warm: exactly
+//! the edited define and its transitive dependents miss
+//! (`incremental_misses`), and before each exploration the hits preceding
+//! it decode their persisted summaries (`summary_hits`/`summary_misses`
+//! are the `plan.summary.*` counters from that run).
 //! `stubbed_applications` counts callee applications answered by a
 //! summary during the cold summaries-on pass. `static_*` are the
 //! discharged-decision counts per mode — on this corpus the summary mode
@@ -201,19 +201,15 @@ fn measure(n: usize, reps: usize, skip_full: bool) -> Row {
     let mut store = sct_cache::MemStore::new();
     let reg = Arc::new(Registry::new());
     time_plan(&prog, &cfg_with(true, &reg), &mut store);
-    let summary_loads = |s: &sct_cache::MemStore| {
-        let t = s.stats();
-        t.summary_hits + t.summary_misses
-    };
     let mut warm = Vec::new();
     let mut warm_summary_loads = 0;
     for _ in 0..reps {
         let reg = Arc::new(Registry::new());
-        let before = summary_loads(&store);
         let (ms, _, misses) = time_plan(&prog, &cfg_with(true, &reg), &mut store);
         assert_eq!(misses, 0, "warm replay must hit every decision");
         warm.push(ms);
-        warm_summary_loads = summary_loads(&store) - before;
+        warm_summary_loads =
+            counter(&reg, "plan.summary.hits") + counter(&reg, "plan.summary.misses");
     }
 
     // Incremental: edit the last base-layer define's base constant,

@@ -177,9 +177,9 @@ fn plan_disk(
     (disk, plan, h, m)
 }
 
-/// Applies `vandalize` to every entry file in the cache — decision
-/// `.plan`s *and* contract-summary `.sum`s, which must degrade just as
-/// gracefully — returning how many `.plan` entries were touched.
+/// Applies `vandalize` to every entry file in the cache (a decision line
+/// plus, for recursive `Static` defines, a contract-summary line),
+/// returning how many `.plan` entries were touched.
 fn vandalize_entries(dir: &PathBuf, vandalize: impl Fn(&str) -> Option<String>) -> usize {
     let mut touched = 0;
     for shard in fs::read_dir(dir).unwrap().flatten() {
@@ -247,10 +247,10 @@ fn version_mismatch_falls_back_to_recompute() {
     // Both a downgrade and an upgrade of the schema tag must be treated
     // as foreign: never a stale replay from a different codec version.
     assert_recovers("version-old", |text| {
-        Some(text.replace("sct-plan/2", "sct-plan/1"))
+        Some(text.replace("sct-plan/3", "sct-plan/2"))
     });
     assert_recovers("version-new", |text| {
-        Some(text.replace("sct-plan/2", "sct-plan/3"))
+        Some(text.replace("sct-plan/3", "sct-plan/4"))
     });
 }
 

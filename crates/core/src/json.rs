@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline (no serde), yet two subsystems need to
 //! *read* JSON as well as write it: the persistent plan cache decodes
-//! `sct-plan/2` documents from disk, and the `sct serve` daemon speaks a
+//! `sct-plan/3` documents from disk, and the `sct serve` daemon speaks a
 //! newline-delimited JSON wire protocol. This module is the shared,
 //! dependency-free implementation: a [`Json`] tree, a strict
 //! recursive-descent [`parse`], and a compact writer (`Json::to_string`
@@ -117,20 +117,32 @@ impl Json {
 /// Escapes a string into a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_escaped(&mut out, s).expect("writing to a String cannot fail");
     out
+}
+
+/// Writes `s` as a JSON string literal, copying runs that need no
+/// escaping in one step.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        if !matches!(c, '"' | '\\') && (c as u32) >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[plain..i])?;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        plain = i + c.len_utf8();
+    }
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -153,7 +165,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => f.write_str(&escape(s)),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -170,7 +182,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -316,6 +329,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run that needs no decoding in one step. The input
+            // is a `&str` and the run stops at an ASCII byte or the end,
+            // so the run is whole UTF-8.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            match std::str::from_utf8(&self.bytes[start..self.pos]) {
+                Ok(run) => out.push_str(run),
+                Err(_) => return self.err("invalid utf-8"),
+            }
             match self.bump() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => return Ok(out),
@@ -352,28 +376,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return self.err("invalid escape"),
                 },
-                Some(b) if b < 0x20 => return self.err("raw control character in string"),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences from raw bytes.
-                    let start = self.pos - 1;
-                    let width = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return self.err("invalid utf-8"),
-                    };
-                    if start + width > self.bytes.len() {
-                        return self.err("truncated utf-8");
-                    }
-                    match std::str::from_utf8(&self.bytes[start..start + width]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = start + width;
-                        }
-                        Err(_) => return self.err("invalid utf-8"),
-                    }
-                }
+                Some(_) => return self.err("raw control character in string"),
             }
         }
     }

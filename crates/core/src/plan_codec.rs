@@ -1,11 +1,20 @@
-//! The versioned `sct-plan/2` codec: persisted enforcement decisions.
+//! The versioned `sct-plan/3` codec: persisted enforcement decisions.
 //!
-//! The persistent plan cache (`sct-cache`) stores one [`FnDecision`]
-//! per content-addressed file so that re-planning an edited program
+//! The persistent plan cache (`sct-cache`) stores one entry per
+//! content-addressed file so that re-planning an edited program
 //! re-verifies only the `define`s whose keys changed. This module is the
 //! serialization layer: a [`PortableDecision`] is a decision with every
-//! compile-run-specific identifier removed, encoded as a single-line JSON
-//! document whose `schema` field is [`PLAN_CODEC_SCHEMA`].
+//! compile-run-specific identifier removed, plus the define's contract
+//! summary when it has one.
+//!
+//! # Layout
+//!
+//! Line 1 is a JSON document whose `schema` field is
+//! [`PLAN_CODEC_SCHEMA`]; its `summary` member is the byte length of
+//! everything after line 1 (0 when there is no summary). The optional
+//! line 2 is the define's `sct-plan-summary/1` document (see
+//! `summary_codec`), kept as raw text: [`decode_entry`] parses line 1
+//! only, so a load that never explores never decodes a summary.
 //!
 //! # Why "portable"
 //!
@@ -23,8 +32,10 @@
 //! # Corruption tolerance
 //!
 //! [`decode_entry`] never panics: truncated files, non-JSON bytes, wrong
-//! schema versions, out-of-range arcs, and missing fields all return
-//! `Err`, which the cache treats as a miss (recompute and overwrite).
+//! schema versions, out-of-range arcs, missing fields and a summary line
+//! whose length differs from the declared one all return `Err`, which the
+//! cache treats as a miss (recompute and overwrite). The length check
+//! means a write torn anywhere, inside the summary line too, is rejected.
 //! A *stale* entry is impossible by construction — the content address
 //! commits to the define's resolved AST, the planner configuration, and
 //! the codec version, so a decode can only ever see bytes written for
@@ -43,20 +54,23 @@
 //!     blame: None,
 //!     detail: "verified (sum: 1 graphs)".into(),
 //!     micros: 412,
+//!     summary: Some("{\"schema\":\"sct-plan-summary/1\"}\n".into()),
 //! };
 //! let bytes = encode_entry(&d);
 //! assert_eq!(decode_entry(&bytes).unwrap(), d);
+//! assert!(decode_entry(&bytes[..bytes.len() - 1]).is_err());
 //! assert!(decode_entry("corrupt garbage").is_err());
 //! ```
 
 use crate::graph::{Change, ScGraph};
 use crate::json::{parse, Json};
 use crate::plan::{Decision, FnDecision, PlanDomain};
+use std::sync::Arc;
 
 /// Schema tag of the persisted entry format. Decoders reject anything
 /// else, so bumping this invalidates (falls back to recompute for) every
 /// existing cache file.
-pub const PLAN_CODEC_SCHEMA: &str = "sct-plan/2";
+pub const PLAN_CODEC_SCHEMA: &str = "sct-plan/3";
 
 /// A [`FnDecision`] with compile-run-specific λ ids factored out (see the
 /// module docs): the unit the plan cache persists.
@@ -75,6 +89,10 @@ pub struct PortableDecision {
     pub detail: String,
     /// Planning cost of the original (cold) computation, microseconds.
     pub micros: u128,
+    /// The define's `sct-plan-summary/1` contract summary, as the raw
+    /// text of the entry's line 2. Never parsed on load; an `Arc` so a
+    /// copy of a held entry shares the bytes.
+    pub summary: Option<Arc<str>>,
 }
 
 impl PortableDecision {
@@ -83,7 +101,12 @@ impl PortableDecision {
     /// order — the basis `covers` is re-expressed in. Covered ids not in
     /// `nested` are dropped (they could not be rebound on load); the
     /// planner only ever covers nested λs, so this loses nothing.
-    pub fn from_decision(d: &FnDecision, nested: &[u32]) -> PortableDecision {
+    /// `summary` is the encoded contract summary stored alongside.
+    pub fn from_decision(
+        d: &FnDecision,
+        nested: &[u32],
+        summary: Option<Arc<str>>,
+    ) -> PortableDecision {
         let covers_idx = d
             .covers
             .iter()
@@ -97,6 +120,7 @@ impl PortableDecision {
             blame: d.blame.clone(),
             detail: d.detail.clone(),
             micros: d.micros,
+            summary,
         }
     }
 
@@ -183,8 +207,8 @@ pub(crate) fn graph_from_json(j: &Json) -> Result<ScGraph, String> {
     Ok(g)
 }
 
-/// Encodes one portable decision as a single-line `sct-plan/2` JSON
-/// document (newline-terminated).
+/// Encodes one portable decision as an `sct-plan/3` entry: the decision
+/// line (newline-terminated), then the summary text verbatim, if any.
 pub fn encode_entry(d: &PortableDecision) -> String {
     let mut members = vec![
         ("schema".into(), Json::str(PLAN_CODEC_SCHEMA)),
@@ -227,8 +251,11 @@ pub fn encode_entry(d: &PortableDecision) -> String {
         "micros".into(),
         Json::Int(d.micros.min(i64::MAX as u128) as i64),
     ));
+    let summary = d.summary.as_deref().unwrap_or("");
+    members.push(("summary".into(), Json::Int(summary.len() as i64)));
     let mut out = Json::Obj(members).to_string();
     out.push('\n');
+    out.push_str(summary);
     out
 }
 
@@ -243,15 +270,19 @@ pub(crate) fn domain_from_label(s: &str) -> Result<PlanDomain, String> {
     }
 }
 
-/// Decodes a persisted `sct-plan/2` entry.
+/// Decodes a persisted `sct-plan/3` entry. Only the decision line is
+/// parsed; the summary line is checked for its declared length and kept
+/// as text.
 ///
 /// # Errors
 ///
 /// Any malformation — bad JSON, wrong or missing schema, unknown decision
-/// tag, malformed witness, missing fields — is an `Err` with a reason.
-/// Callers treat every `Err` as a cache miss.
+/// tag, malformed witness, missing fields, a summary line of the wrong
+/// length — is an `Err` with a reason. Callers treat every `Err` as a
+/// cache miss.
 pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
-    let doc = parse(text.trim_end()).map_err(|e| e.to_string())?;
+    let (line, rest) = text.split_once('\n').unwrap_or((text, ""));
+    let doc = parse(line).map_err(|e| e.to_string())?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(PLAN_CODEC_SCHEMA) => {}
         Some(other) => return Err(format!("schema mismatch: {other:?}")),
@@ -317,6 +348,16 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
             .and_then(Json::as_u64)
             .ok_or("missing micros")?,
     );
+    let summary_len = doc
+        .get("summary")
+        .and_then(Json::as_u64)
+        .ok_or("missing summary length")?;
+    if rest.len() as u64 != summary_len {
+        return Err(format!(
+            "summary line is {} bytes, entry declares {summary_len}",
+            rest.len()
+        ));
+    }
     Ok(PortableDecision {
         name,
         decision,
@@ -324,12 +365,14 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
         blame,
         detail,
         micros,
+        summary: (!rest.is_empty()).then(|| Arc::from(rest)),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary_codec::{LambdaRef, PortableSummary};
 
     fn refuted() -> PortableDecision {
         PortableDecision {
@@ -346,6 +389,7 @@ mod tests {
             blame: Some("spin.sct:1:14".into()),
             detail: "graph is idempotent with no self-descent".into(),
             micros: 77,
+            summary: None,
         }
     }
 
@@ -361,6 +405,7 @@ mod tests {
                 blame: None,
                 detail: "verified \"quoted\"\nnewline".into(),
                 micros: 123_456_789_012,
+                summary: None,
             },
             PortableDecision {
                 name: "apply1".into(),
@@ -371,6 +416,7 @@ mod tests {
                 blame: None,
                 detail: "modular".into(),
                 micros: 0,
+                summary: None,
             },
             refuted(),
         ];
@@ -392,19 +438,85 @@ mod tests {
         assert!(decode_entry("\0\0\0\0").is_err());
     }
 
+    fn with_summary() -> PortableDecision {
+        let summary = crate::summary_codec::encode_summary(&PortableSummary {
+            name: "len".into(),
+            guard: vec![PlanDomain::Any],
+            result: PlanDomain::Nat,
+            graphs: vec![(
+                LambdaRef {
+                    global: "len".into(),
+                    idx: 0,
+                },
+                vec![ScGraph::from_arcs(1, 1, [(0, Change::Descend, 0)])],
+            )],
+        });
+        PortableDecision {
+            name: "len".into(),
+            decision: Decision::Static {
+                guard: vec![PlanDomain::Any],
+            },
+            covers_idx: vec![],
+            blame: None,
+            detail: "verified (len: 1 graphs)".into(),
+            micros: 31,
+            summary: Some(summary.into()),
+        }
+    }
+
+    #[test]
+    fn round_trips_with_and_without_a_summary() {
+        let d = with_summary();
+        let enc = encode_entry(&d);
+        let (line, rest) = enc.split_once('\n').unwrap();
+        assert!(
+            line.contains(&format!("\"summary\":{}", rest.len())),
+            "{line}"
+        );
+        assert!(
+            rest.starts_with("{\"schema\":\"sct-plan-summary/1\""),
+            "{rest}"
+        );
+        assert_eq!(decode_entry(&enc).unwrap(), d);
+        let bare = PortableDecision {
+            summary: None,
+            ..with_summary()
+        };
+        let enc = encode_entry(&bare);
+        assert!(enc.ends_with("\"summary\":0}\n"), "{enc}");
+        assert_eq!(decode_entry(&enc).unwrap(), bare);
+    }
+
+    #[test]
+    fn rejects_truncation_inside_the_summary_line() {
+        let enc = encode_entry(&with_summary());
+        let line_end = enc.find('\n').unwrap() + 1;
+        for cut in [
+            line_end,
+            line_end + 1,
+            (line_end + enc.len()) / 2,
+            enc.len() - 1,
+        ] {
+            let err = decode_entry(&enc[..cut]).unwrap_err();
+            assert!(err.contains("summary line"), "cut at {cut}: {err}");
+        }
+        // Trailing bytes past the declared length are rejected too.
+        assert!(decode_entry(&format!("{enc}x")).is_err());
+    }
+
     #[test]
     fn rejects_version_mismatch() {
-        let enc = encode_entry(&refuted()).replace("sct-plan/2", "sct-plan/1");
+        let enc = encode_entry(&refuted()).replace("sct-plan/3", "sct-plan/2");
         assert!(decode_entry(&enc).unwrap_err().contains("schema mismatch"));
-        let enc = encode_entry(&refuted()).replace("sct-plan/2", "sct-plan/3");
+        let enc = encode_entry(&refuted()).replace("sct-plan/3", "sct-plan/4");
         assert!(decode_entry(&enc).unwrap_err().contains("schema mismatch"));
     }
 
     #[test]
     fn rejects_malformed_witness() {
-        let bad_arc = r#"{"schema":"sct-plan/2","name":"f","decision":"refuted",
+        let bad_arc = r#"{"schema":"sct-plan/3","name":"f","decision":"refuted",
             "witness":{"rows":1,"cols":1,"arcs":[[5,"d",0]]},"culprit":"f",
-            "covers_idx":[],"blame":null,"detail":"x","micros":1}"#
+            "covers_idx":[],"blame":null,"detail":"x","micros":1,"summary":0}"#
             .replace('\n', " ");
         assert!(decode_entry(&bad_arc).unwrap_err().contains("out of range"));
         let huge = bad_arc.replace("\"rows\":1", "\"rows\":99999");
@@ -422,6 +534,7 @@ mod tests {
             blame: None,
             detail: "verified".into(),
             micros: 9,
+            summary: None,
         };
         let bound = d.rebind(41, &[50, 51, 52]).unwrap();
         assert_eq!(bound.lambda, 41);
@@ -445,7 +558,7 @@ mod tests {
             detail: "verified".into(),
             micros: 3,
         };
-        let portable = PortableDecision::from_decision(&concrete, &nested);
+        let portable = PortableDecision::from_decision(&concrete, &nested, None);
         assert_eq!(portable.covers_idx, vec![1, 2]);
         let back = portable.rebind(5, &nested).unwrap();
         assert_eq!(back.covers, concrete.covers);

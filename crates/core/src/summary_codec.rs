@@ -8,9 +8,12 @@
 //! instead of re-descending into its body (Ben-Amram 2010: a function's
 //! size-change behavior is fully captured by its set of call-site graphs).
 //!
-//! Summaries ride the same content-addressed store as decisions (`sct-cache`,
-//! keyed by `sct_symbolic::digest::ProgramDigests`), so editing a define
+//! A summary is stored as line 2 of its define's `sct-plan/3` decision
+//! entry (see `plan_codec`), under the same content key
+//! (`sct_symbolic::digest::ProgramDigests`), so editing a define
 //! invalidates exactly its own summary and its transitive dependents'.
+//! Loading an entry keeps that line as text; it is decoded here only when
+//! an exploration needs the summary.
 //!
 //! # Why [`LambdaRef`] instead of λ ids
 //!
@@ -57,7 +60,7 @@ use crate::plan::PlanDomain;
 use crate::plan_codec::{domain_from_label, graph_from_json, graph_to_json};
 
 /// Schema tag of the persisted summary format. Decoders reject anything
-/// else, so bumping this invalidates every existing `.sum` entry.
+/// else, so bumping this invalidates every persisted summary.
 pub const SUMMARY_CODEC_SCHEMA: &str = "sct-plan-summary/1";
 
 /// A compile-independent name for one λ: the `define`d global that owns it
@@ -72,7 +75,7 @@ pub struct LambdaRef {
 }
 
 /// A verified define's contract summary with compile-run-specific λ ids
-/// factored out: the unit the summary store persists.
+/// factored out: what a decision entry's summary line encodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortableSummary {
     /// The summarized `define`'s name.

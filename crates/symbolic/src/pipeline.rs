@@ -70,12 +70,13 @@ use crate::exec::{CalleeSummary, GlobalSnapshot, SummaryTable, SymDomain};
 use crate::verify::{explore_with_names, lambda_names, Exploration, VerifyConfig};
 use sct_core::plan::{CheckedClosure, Decision, EnforcementPlan, FnDecision, PlanDomain};
 use sct_core::plan_codec::PortableDecision;
-use sct_core::summary_codec::{LambdaRef, PortableSummary};
+use sct_core::summary_codec::{decode_summary, encode_summary, LambdaRef, PortableSummary};
 use sct_core::ScGraph;
 use sct_lang::ast::{Expr, LambdaDef, LambdaId, Program, TopForm};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A declared verification signature: one domain per parameter plus the
@@ -319,17 +320,14 @@ pub trait DecisionStore {
     fn wants_keys(&self) -> bool {
         true
     }
-    /// Fetch the contract summary persisted under `key`, if any survives.
-    /// Summaries share the decision's content address (the `sct-plan-summary/1`
-    /// entry rides the same digest), so editing a define invalidates its
-    /// summary and its dependents' exactly like its decision. The default
-    /// never hits: a store without summary support merely forfeits
-    /// cross-process stub reuse, never soundness.
+    /// Not called by the planner: a contract summary travels inside its
+    /// decision entry ([`PortableDecision::summary`]). Kept, as a no-op,
+    /// only so an existing implementation outside this workspace still
+    /// compiles; implement nothing here.
     fn load_summary(&mut self, _key: &str) -> Option<PortableSummary> {
         None
     }
-    /// Persist `summary` under `key`. Failures must be swallowed, like
-    /// [`DecisionStore::store`]. The default drops it.
+    /// Not called by the planner; see [`DecisionStore::load_summary`].
     fn store_summary(&mut self, _key: &str, _summary: &PortableSummary) {}
 }
 
@@ -417,19 +415,19 @@ pub fn plan_program_incremental(
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
     // applications of them (see `Executor::try_stub`). The table lives
-    // for this pass; the store carries summaries *across* passes under
-    // the same content keys as decisions.
+    // for this pass; the store carries summaries *across* passes inside
+    // the decision entries.
     let summaries_on = config.summaries;
     if summaries_on {
         config.obs.summary_touch();
     }
     let persist_summaries = summaries_on && store.wants_keys();
     let mut summary_table: SummaryTable = HashMap::new();
-    // Hit `Static` defines whose persisted summaries have not been loaded
-    // yet, in source order. Only an exploration reads the summary table,
-    // so they are loaded right before the next one: a pass whose every
-    // define hits, and the hits after its last miss, never touch them.
-    let mut pending: Vec<(String, &Rc<LambdaDef>, u32)> = Vec::new();
+    // Hit `Static` defines whose entries carry a summary not yet decoded,
+    // in source order. Only an exploration reads the summary table, so
+    // they are decoded right before the next one: a pass whose every
+    // define hits, and the hits after its last miss, never decode them.
+    let mut pending: Vec<(Arc<str>, &Rc<LambdaDef>, u32)> = Vec::new();
     // Built at the first define that must be explored, for the same reason.
     let mut explorer: Option<Explorer> = None;
     // Occurrence counter per global: a shadowed name yields one decision
@@ -458,11 +456,13 @@ pub fn plan_program_incremental(
                 // through to recompute.
                 if let Some(decision) = portable.rebind(def.id, &nested) {
                     // A hit decision needs no verification, but its
-                    // summary (Static defines only) still feeds later
-                    // defines' stubs — that is what makes a warm
+                    // summary (Static recursive defines only) still feeds
+                    // later defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
                     if persist_summaries && matches!(decision.decision, Decision::Static { .. }) {
-                        pending.push((key.clone(), def, *index));
+                        if let Some(text) = portable.summary {
+                            pending.push((text, def, *index));
+                        }
                     }
                     answer(decision, true);
                     continue;
@@ -504,10 +504,10 @@ pub fn plan_program_incremental(
             // Every hit before this define registers its summary now, so
             // this exploration sees the table an eager pass would give it.
             if let Some(li) = &ex.lambda_index {
-                for (key, def, index) in pending.drain(..) {
-                    match store
-                        .load_summary(&key)
-                        .and_then(|p| rebind_summary(&p, def, li, mutation, index))
+                for (text, def, index) in pending.drain(..) {
+                    match decode_summary(&text)
+                        .ok()
+                        .and_then(|p| rebind_summary(p, def, li, mutation, index))
                     {
                         Some(summary) => {
                             config.obs.summary_hit();
@@ -530,15 +530,17 @@ pub fn plan_program_incremental(
                 &ex.snapshot,
             )
         };
-        // Register (and, when cacheable, persist) the freshly verified
-        // define's contract summary. Only `Static` decisions produce one
-        // — opaque-tainted defines end Inconclusive and mutation-tainted
-        // ones Monitor, so neither is ever stubbed — and only *recursive*
-        // callees are registered: a non-recursive body is cheap to
-        // descend, and its concrete results can be load-bearing for a
-        // caller's own descent proof. The truncation rule mirrors
-        // decisions: a summary from a budget- or deadline-degraded ladder
-        // is never persisted (such ladders cannot end `Static` at all).
+        // Register (and, when cacheable, encode into the entry) the
+        // freshly verified define's contract summary. Only `Static`
+        // decisions produce one — opaque-tainted defines end Inconclusive
+        // and mutation-tainted ones Monitor, so neither is ever stubbed —
+        // and only *recursive* callees are registered: a non-recursive
+        // body is cheap to descend, and its concrete results can be
+        // load-bearing for a caller's own descent proof. The truncation
+        // rule mirrors decisions: a summary from a budget- or
+        // deadline-degraded ladder is never persisted (such ladders cannot
+        // end `Static` at all).
+        let mut summary_text = None;
         if summaries_on {
             if let Some(data) = summary_data {
                 let recursive = data
@@ -548,11 +550,9 @@ pub fn plan_program_incremental(
                 if recursive {
                     if cacheable {
                         let li = explorer.as_ref().and_then(|ex| ex.lambda_index.as_ref());
-                        if let (Some(key), Some(li)) = (&key, li) {
-                            if let Some(portable) = portable_summary(name, &data, li, program) {
-                                store.store_summary(key, &portable);
-                            }
-                        }
+                        summary_text = li
+                            .and_then(|li| portable_summary(name, &data, li, program))
+                            .map(|p| Arc::from(encode_summary(&p)));
                     }
                     summary_table.insert(
                         def.id,
@@ -570,12 +570,13 @@ pub fn plan_program_incremental(
         // ladder depends on machine load, not on the inputs the key
         // commits to: persisting it would pin a slow moment's pessimism
         // forever (the same reasoning that forbids refuting on a
-        // truncated ladder). Recompute it next time instead. Persisted
-        // after the summary, so a concurrent pass that hits this decision
-        // also finds its summary and stubs exactly as this pass does.
+        // truncated ladder). Recompute it next time instead.
         if cacheable {
             if let Some(key) = &key {
-                store.store(key, &PortableDecision::from_decision(&decision, &nested));
+                store.store(
+                    key,
+                    &PortableDecision::from_decision(&decision, &nested, summary_text),
+                );
             }
         }
         answer(decision, false);
@@ -758,7 +759,7 @@ fn portable_summary(
 /// when it does not fit this define (treated as a miss). The content
 /// address makes a true mismatch corruption, exactly as for decisions.
 fn rebind_summary(
-    p: &PortableSummary,
+    p: PortableSummary,
     def: &LambdaDef,
     li: &LambdaIndex,
     mutation: &MutationMap,
@@ -768,8 +769,8 @@ fn rebind_summary(
         return None;
     }
     let mut graphs = Vec::with_capacity(p.graphs.len());
-    for (lr, set) in &p.graphs {
-        graphs.push((li.resolve(lr)?, set.clone()));
+    for (lr, set) in p.graphs {
+        graphs.push((li.resolve(&lr)?, set));
     }
     // Only recursive summaries are persisted (only they are worth
     // stubbing); anything else is corruption.
@@ -1505,12 +1506,17 @@ mod tests {
     }
 
     /// A map-backed [`DecisionStore`] for tests (sct-cache's MemStore
-    /// lives downstream of this crate) that counts summary loads.
+    /// lives downstream of this crate).
     #[derive(Default)]
     struct TestStore {
         map: HashMap<String, PortableDecision>,
-        summaries: HashMap<String, PortableSummary>,
-        summary_loads: usize,
+    }
+
+    impl TestStore {
+        /// Entries that carry a contract summary.
+        fn summaries(&self) -> usize {
+            self.map.values().filter(|d| d.summary.is_some()).count()
+        }
     }
 
     impl DecisionStore for TestStore {
@@ -1519,13 +1525,6 @@ mod tests {
         }
         fn store(&mut self, key: &str, entry: &PortableDecision) {
             self.map.insert(key.to_string(), entry.clone());
-        }
-        fn load_summary(&mut self, key: &str) -> Option<PortableSummary> {
-            self.summary_loads += 1;
-            self.summaries.get(key).cloned()
-        }
-        fn store_summary(&mut self, key: &str, summary: &PortableSummary) {
-            self.summaries.insert(key.to_string(), summary.clone());
         }
     }
 
@@ -1550,8 +1549,9 @@ mod tests {
             store.map.is_empty(),
             "load-dependent decision must not be cached"
         );
-        assert!(
-            store.summaries.is_empty(),
+        assert_eq!(
+            store.summaries(),
+            0,
             "a truncated ladder must not publish a contract summary either"
         );
         // An untruncated run persists as usual — decision and summary.
@@ -1563,7 +1563,7 @@ mod tests {
         );
         assert_eq!(stats.misses(), 1);
         assert_eq!(store.map.len(), 1);
-        assert_eq!(store.summaries.len(), 1, "sum is recursive and Static");
+        assert_eq!(store.summaries(), 1, "sum is recursive and Static");
     }
 
     #[test]
@@ -1587,7 +1587,7 @@ mod tests {
             &mut store,
         );
         assert_eq!(plan.count("static"), 2, "{:?}", plan.decisions);
-        assert_eq!(store.summaries.len(), 2, "both defines are recursive");
+        assert_eq!(store.summaries(), 2, "both defines are recursive");
 
         let reg = std::sync::Arc::new(sct_obs::Registry::new());
         let cfg = PlanConfig {
@@ -1637,7 +1637,6 @@ mod tests {
                 obs: PlanObs::registered(reg.clone()),
                 ..PlanConfig::default()
             };
-            store.summary_loads = 0;
             let (plan, stats) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store);
             let full = plan_program(
                 &prog,
@@ -1646,31 +1645,33 @@ mod tests {
                     ..PlanConfig::default()
                 },
             );
-            let hits = reg.snapshot().counter("plan.summary.hits").unwrap_or(0);
-            (plan, stats.misses(), hits, full)
+            let snap = reg.snapshot();
+            let hits = snap.counter("plan.summary.hits").unwrap_or(0);
+            let decodes = hits + snap.counter("plan.summary.misses").unwrap_or(0);
+            (plan, stats.misses(), decodes, hits, full)
         };
         let mut store = TestStore::default();
-        let (cold, misses, _, _) = replan(&mut store, &source(0, 0));
+        let (cold, misses, _, _, _) = replan(&mut store, &source(0, 0));
         assert_eq!(misses, 5);
         assert_eq!(cold.count("static"), 4, "{:?}", cold.decisions);
-        assert_eq!(store.summaries.len(), 4, "every Static define recurses");
+        assert_eq!(store.summaries(), 4, "every Static define recurses");
 
-        // All hits: nothing is explored, so no summary is read.
-        let (warm, misses, hits, _) = replan(&mut store, &source(0, 0));
-        assert_eq!((misses, store.summary_loads, hits), (0, 0, 0));
+        // All hits: nothing is explored, so no summary is decoded.
+        let (warm, misses, decodes, hits, _) = replan(&mut store, &source(0, 0));
+        assert_eq!((misses, decodes, hits), (0, 0, 0));
         assert!(warm.structurally_eq(&cold));
 
         // Editing the last define explores it after every other define
-        // hit: the three Static recursive helpers before it load (the
+        // hit: the three Static recursive helpers before it decode (the
         // Monitor define has no summary), and the plan is full descent's.
-        let (plan, misses, hits, full) = replan(&mut store, &source(0, 1));
-        assert_eq!((misses, store.summary_loads, hits), (1, 3, 3));
+        let (plan, misses, decodes, hits, full) = replan(&mut store, &source(0, 1));
+        assert_eq!((misses, decodes, hits), (1, 3, 3));
         assert!(plan.structurally_eq(&full), "{plan}\n{full}");
 
         // Editing the first define explores it before any hit, and every
-        // later define hits: no summary is read.
-        let (plan, misses, hits, full) = replan(&mut store, &source(1, 0));
-        assert_eq!((misses, store.summary_loads, hits), (1, 0, 0));
+        // later define hits: no summary is decoded.
+        let (plan, misses, decodes, hits, full) = replan(&mut store, &source(1, 0));
+        assert_eq!((misses, decodes, hits), (1, 0, 0));
         assert!(plan.structurally_eq(&full), "{plan}\n{full}");
     }
 
@@ -1770,8 +1771,9 @@ mod tests {
             );
         }
         assert!(store.map.is_empty(), "degraded decisions must not persist");
-        assert!(
-            store.summaries.is_empty(),
+        assert_eq!(
+            store.summaries(),
+            0,
             "deadline-degraded passes must not publish contract summaries"
         );
         assert_eq!(stats.hits(), 0);

@@ -58,8 +58,9 @@
 //!   per-thread compile cache (compiled once per distinct source, reused
 //!   across requests).
 //! * `stats` → request counters, aggregate cache traffic
-//!   ([`sct_cache::CacheStats`], contract-summary `.sum` traffic as
-//!   `summary_{hits,misses,stores}`), the aggregate plan effect
+//!   ([`sct_cache::CacheStats`]; contract summaries travel inside the
+//!   decision entries, so they add no traffic of their own), the
+//!   aggregate plan effect
 //!   (`"plan":{"static_skips":…,"monitored_calls":…}` summed over every
 //!   execution served), worker count, uptime, and per-op latency
 //!   summaries (`"latency":{"plan":{"count":…,"p50_us":…,…},…}`).
@@ -280,18 +281,6 @@ impl DecisionStore for StoreKind {
             StoreKind::Mem(m) => m.store(key, entry),
         }
     }
-    fn load_summary(&mut self, key: &str) -> Option<sct_core::summary_codec::PortableSummary> {
-        match self {
-            StoreKind::Disk(d) => d.load_summary(key),
-            StoreKind::Mem(m) => m.load_summary(key),
-        }
-    }
-    fn store_summary(&mut self, key: &str, summary: &sct_core::summary_codec::PortableSummary) {
-        match self {
-            StoreKind::Disk(d) => d.store_summary(key, summary),
-            StoreKind::Mem(m) => m.store_summary(key, summary),
-        }
-    }
 }
 
 /// A [`DecisionStore`] view over the shared store: workers lock per
@@ -305,12 +294,6 @@ impl DecisionStore for SharedStore {
     }
     fn store(&mut self, key: &str, entry: &sct_core::plan_codec::PortableDecision) {
         lock_or_recover(&self.0).store(key, entry)
-    }
-    fn load_summary(&mut self, key: &str) -> Option<sct_core::summary_codec::PortableSummary> {
-        lock_or_recover(&self.0).load_summary(key)
-    }
-    fn store_summary(&mut self, key: &str, summary: &sct_core::summary_codec::PortableSummary) {
-        lock_or_recover(&self.0).store_summary(key, summary)
     }
 }
 
@@ -1237,18 +1220,6 @@ impl Server {
                     ("rejected".into(), Json::Int(traffic.rejected as i64)),
                     ("stores".into(), Json::Int(traffic.stores as i64)),
                     ("quarantined".into(), Json::Int(traffic.quarantined as i64)),
-                    (
-                        "summary_hits".into(),
-                        Json::Int(traffic.summary_hits as i64),
-                    ),
-                    (
-                        "summary_misses".into(),
-                        Json::Int(traffic.summary_misses as i64),
-                    ),
-                    (
-                        "summary_stores".into(),
-                        Json::Int(traffic.summary_stores as i64),
-                    ),
                 ]),
             ),
             (

@@ -5,6 +5,7 @@
 //! trajectory: warm planning must be measurably faster than cold.
 
 use sct_contracts::{plan_program_incremental, DiskCache, PlanCache, PlanConfig};
+use sct_core::summary_codec::{decode_summary, PortableSummary};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,6 +115,18 @@ fn editing_a_shared_helper_reverifies_its_dependents_only() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The contract summaries a store's entries carry, decoded, by key.
+fn summaries(store: &sct_cache::MemStore) -> Vec<(&str, PortableSummary)> {
+    store
+        .entries()
+        .iter()
+        .filter_map(|(k, e)| {
+            let text = e.summary.as_deref()?;
+            Some((k.as_str(), decode_summary(text).expect("summary decodes")))
+        })
+        .collect()
+}
+
 #[test]
 fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
     // Contract summaries ride the same content address as decisions, so
@@ -127,10 +140,9 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
 
     let before = sct_lang::compile_program(&fig10_scale(0)).unwrap();
     plan_program_incremental(&before, &cfg, &mut PlanCache::new(), &mut store);
-    let initial: std::collections::HashMap<String, String> = store
-        .summary_entries()
-        .iter()
-        .map(|(k, s)| (k.clone(), s.name.clone()))
+    let initial: std::collections::HashMap<String, String> = summaries(&store)
+        .into_iter()
+        .map(|(k, s)| (k.to_string(), s.name))
         .collect();
     // The fig10-scale program's summarizable defines: every recursive
     // Static one. (ack stays monitored; msort's discharge is vacuous.)
@@ -149,11 +161,10 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
     .unwrap();
     let (_, stats) = plan_program_incremental(&after, &cfg, &mut PlanCache::new(), &mut store);
     assert_eq!(stats.missed_names(), vec!["len", "msort"], "{stats:?}");
-    let recomputed: Vec<&str> = store
-        .summary_entries()
-        .iter()
+    let recomputed: Vec<String> = summaries(&store)
+        .into_iter()
         .filter(|(k, _)| !initial.contains_key(*k))
-        .map(|(_, s)| s.name.as_str())
+        .map(|(_, s)| s.name)
         .collect();
     assert_eq!(
         recomputed,

@@ -246,47 +246,75 @@ fn plan_json_value_encodes_like_to_json() {
     }
 }
 
-/// `plan.summary.hits` plus the store's `.sum` traffic, as the daemon
-/// reports them.
-fn summary_traffic(server: &Server) -> Vec<i64> {
+/// The daemon's `plan.summary.{hits,misses}` counters: summaries
+/// decoded for an exploration.
+fn summary_decodes(server: &Server) -> Vec<i64> {
     let metrics = response(server, r#"{"op":"metrics"}"#);
-    let stats = response(server, r#"{"op":"stats"}"#);
-    let counter = metrics
+    let counters = metrics
         .get("metrics")
         .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("plan.summary.hits"))
-        .and_then(Json::as_i64)
-        .unwrap_or(0);
-    let cache = stats.get("cache").expect("stats carry cache traffic");
-    let mut out = vec![counter];
-    for field in ["summary_hits", "summary_misses", "summary_stores"] {
-        out.push(
-            cache
-                .get(field)
-                .and_then(Json::as_i64)
-                .unwrap_or_else(|| panic!("no cache.{field} in {stats}")),
-        );
+        .expect("metrics carry counters");
+    ["plan.summary.hits", "plan.summary.misses"]
+        .iter()
+        .map(|name| counters.get(name).and_then(Json::as_i64).unwrap_or(0))
+        .collect()
+}
+
+/// Every `.plan` entry under a cache directory, as `(decision line,
+/// summary line)`; no other file may be there.
+fn cache_entries(dir: &std::path::Path) -> Vec<(Json, String)> {
+    let mut out = Vec::new();
+    for shard in std::fs::read_dir(dir).unwrap().flatten() {
+        for file in std::fs::read_dir(shard.path()).unwrap().flatten() {
+            let path = file.path();
+            assert!(
+                path.extension().is_some_and(|e| e == "plan"),
+                "unexpected cache file {path:?}"
+            );
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (line, rest) = text.split_once('\n').expect("a terminated decision line");
+            out.push((parse(line).expect("decision line parses"), rest.to_string()));
+        }
     }
     out
 }
 
-/// A warm `plan` whose every define hits explores nothing, so it reads
-/// no contract summary: repeating it leaves the daemon's summary
-/// counters and `.sum` traffic where the cold plan left them.
+/// A warm `plan` whose every define hits explores nothing, so it decodes
+/// no contract summary: repeating it leaves the daemon's summary counters
+/// where the cold plan left them, with or without a cache directory.
 #[test]
 fn all_hit_plans_read_no_summaries() {
     let _lock = serial();
     for source in [ACK_PAD_LEN_F.to_string(), call_dag(8, 7)] {
-        let server = server(1, None);
-        served(&server, &source);
-        let after_cold = summary_traffic(&server);
-        assert!(after_cold[3] > 0, "the cold plan persists summaries");
-        for _ in 0..2 {
-            let doc = response(&server, &plan_request(&source));
-            let cache = doc.get("cache").expect("plan responses carry cache");
-            assert_eq!(cache.get("warm"), Some(&Json::Bool(true)), "{doc}");
-            assert_eq!(summary_traffic(&server), after_cold);
+        let dir = std::env::temp_dir().join(format!(
+            "sct-determinism-summaries-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        for cache_dir in [None, Some(dir.clone())] {
+            let server = server(1, cache_dir.clone());
+            served(&server, &source);
+            if let Some(dir) = &cache_dir {
+                let entries = cache_entries(dir);
+                let with_summary = entries.iter().filter(|(_, s)| !s.is_empty()).count();
+                assert!(with_summary > 0, "the cold plan persists summaries");
+                for (line, summary) in &entries {
+                    assert_eq!(
+                        line.get("summary").and_then(Json::as_i64),
+                        Some(summary.len() as i64),
+                        "{line}"
+                    );
+                }
+            }
+            let after_cold = summary_decodes(&server);
+            for _ in 0..2 {
+                let doc = response(&server, &plan_request(&source));
+                let cache = doc.get("cache").expect("plan responses carry cache");
+                assert_eq!(cache.get("warm"), Some(&Json::Bool(true)), "{doc}");
+                assert_eq!(summary_decodes(&server), after_cold);
+            }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
